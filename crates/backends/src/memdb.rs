@@ -13,7 +13,7 @@ use rcalcite_core::error::{CalciteError, Result};
 use rcalcite_core::exec::{BatchIter, SlicedColumns};
 use rcalcite_core::index::{IndexData, IndexDef, IndexProbe, KeyAccess, SnapshotProbe};
 use rcalcite_core::stats::{analyze_columns, TableStats};
-use rcalcite_core::txn::{apply_ops_to_rows, DeltaOp, TxnVersion};
+use rcalcite_core::txn::{apply_ops_to_rows, DeltaOp, RowIds, RowMoves, TxnVersion};
 use rcalcite_core::types::TypeKind;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -23,17 +23,17 @@ use std::sync::Arc;
 pub struct MemRelation {
     pub columns: Vec<(String, TypeKind)>,
     pub rows: Vec<Row>,
-    /// Stable row ids, parallel to `rows` — inside the copy-on-write
-    /// struct, so a relation snapshot pins rows and ids together. The
-    /// id counter lives on [`MemDb`] (outside the snapshot), so
-    /// reservations never clone the relation.
-    row_ids: Vec<u64>,
+    /// Stable row ids, parallel to `rows`, with their id → position
+    /// lookup — inside the copy-on-write struct, so a relation snapshot
+    /// pins rows and ids together. The id counter lives on [`MemDb`]
+    /// (outside the snapshot), so reservations never clone the relation.
+    row_ids: RowIds,
     /// Columnar mirror of `rows`, built at load time and maintained on
     /// insert, so batch scans read typed vectors directly instead of
     /// pivoting rows per scan.
     col_store: Vec<Column>,
     /// Secondary indexes over the columnar mirror, maintained
-    /// incrementally on insert. Stored *inside* the relation so the
+    /// incrementally on every write. Stored *inside* the relation so the
     /// copy-on-write `Arc` snapshot discipline covers them too: an
     /// in-flight probe snapshot pairs index state with exactly the rows
     /// it was built over.
@@ -47,7 +47,7 @@ impl MemRelation {
             .enumerate()
             .map(|(i, (_, kind))| Column::from_rows(kind, &rows, i))
             .collect();
-        let row_ids = (0..rows.len() as u64).collect();
+        let row_ids = RowIds::sequential(0, rows.len());
         MemRelation {
             columns,
             rows,
@@ -59,7 +59,7 @@ impl MemRelation {
 
     /// Stable ids of the current rows, parallel to `rows`.
     pub fn row_ids(&self) -> &[u64] {
-        &self.row_ids
+        self.row_ids.as_slice()
     }
 
     pub fn column_index(&self, name: &str) -> Option<usize> {
@@ -198,7 +198,11 @@ impl TxnVersion for RelVersion {
     }
 
     fn row_id(&self, pos: usize) -> u64 {
-        self.0.row_ids[pos]
+        self.0.row_ids.get(pos)
+    }
+
+    fn position_of(&self, row_id: u64) -> Option<usize> {
+        self.0.row_ids.position(row_id)
     }
 
     fn index_defs(&self) -> Vec<IndexDef> {
@@ -299,9 +303,10 @@ impl MemDb {
     }
 
     /// Applies a committed MVCC delta under the copy-on-write swap:
-    /// open snapshots keep the pre-delta relation, indexes are
-    /// maintained incrementally, and the columnar mirror is rebuilt
-    /// from the surviving rows.
+    /// open snapshots keep the pre-delta relation, and the columnar
+    /// mirror and indexes are maintained incrementally. UPDATE and INSERT
+    /// touch only the written rows; a DELETE compacts the rows and
+    /// rebuilds the mirror, O(n). A failing op stream changes nothing.
     pub fn apply_delta(&self, table: &str, ops: &[DeltaOp]) -> Result<usize> {
         let mut tables = self.tables.write();
         let rel = tables
@@ -315,18 +320,34 @@ impl MemDb {
             let next = ids.entry(table.to_ascii_lowercase()).or_default();
             *next = (*next).max(max_id + 1);
         }
-        rel.col_store = rel
-            .columns
-            .iter()
-            .enumerate()
-            .map(|(i, (_, kind))| Column::from_rows(kind, &rel.rows, i))
-            .collect();
+        match &outcome.moves {
+            RowMoves::InPlace { updated, inserted } => {
+                for (pos, _) in updated {
+                    for (col, d) in rel.col_store.iter_mut().zip(&rel.rows[*pos]) {
+                        col.set(*pos, d.clone());
+                    }
+                }
+                for row in &rel.rows[inserted.clone()] {
+                    for (col, d) in rel.col_store.iter_mut().zip(row) {
+                        col.push(d.clone());
+                    }
+                }
+            }
+            RowMoves::Compacted { .. } => {
+                rel.col_store = rel
+                    .columns
+                    .iter()
+                    .enumerate()
+                    .map(|(i, (_, kind))| Column::from_rows(kind, &rel.rows, i))
+                    .collect();
+            }
+        }
         let MemRelation {
             col_store, indexes, ..
         } = rel;
         let access = ColAccess(col_store);
         for idx in indexes.iter_mut() {
-            Arc::make_mut(idx).apply_delta(&access, &outcome.remap, &outcome.reinserted);
+            Arc::make_mut(idx).apply_delta(&access, &outcome.moves);
         }
         self.bump_version(table);
         Ok(outcome.applied)
@@ -752,6 +773,61 @@ mod tests {
         assert!(probe
             .positions(&BoundProbe::point(vec![Datum::Int(1)]))
             .is_empty());
+    }
+
+    /// UPDATE/INSERT deltas maintain the columnar mirror in place (it
+    /// must equal a rebuild from the rows), and a delta that fails
+    /// validation part-way leaves rows, ids, mirror and index unchanged.
+    #[test]
+    fn apply_delta_in_place_and_atomic() {
+        use rcalcite_core::index::BoundProbe;
+        let db = db();
+        db.create_index("products", &IndexDef::hash("p_name", vec![1]))
+            .unwrap();
+        let start = db.reserve_row_ids("products", 1).unwrap();
+        db.apply_delta(
+            "products",
+            &[
+                DeltaOp::Update {
+                    row_id: 1,
+                    row: vec![Datum::Int(2), Datum::str("rocket"), Datum::Null],
+                },
+                DeltaOp::Insert {
+                    row_id: start,
+                    row: vec![Datum::Int(4), Datum::str("tnt"), Datum::Double(50.0)],
+                },
+            ],
+        )
+        .unwrap();
+        let rel = db.table("products").unwrap();
+        for (i, (_, kind)) in rel.columns.iter().enumerate() {
+            let rebuilt = Column::from_rows(kind, &rel.rows, i);
+            assert_eq!(rel.column_data()[i].to_datums(), rebuilt.to_datums());
+        }
+        let by_name = |db: &MemDb, name: &str| {
+            db.index_probe("products", "p_name")
+                .unwrap()
+                .unwrap()
+                .positions(&BoundProbe::point(vec![Datum::str(name)]))
+        };
+        assert_eq!(by_name(&db, "rocket"), vec![1]);
+
+        let bad = [
+            DeltaOp::Delete { row_id: 0 },
+            DeltaOp::Update {
+                row_id: 99,
+                row: vec![Datum::Int(0), Datum::str("x"), Datum::Null],
+            },
+        ];
+        assert!(db.apply_delta("products", &bad).is_err());
+        let after = db.table("products").unwrap();
+        assert_eq!(after.rows, rel.rows);
+        assert_eq!(after.row_ids(), rel.row_ids());
+        assert_eq!(
+            after.column_data()[1].to_datums(),
+            rel.column_data()[1].to_datums()
+        );
+        assert_eq!(by_name(&db, "rocket"), vec![1]);
     }
 
     #[test]

@@ -1,9 +1,12 @@
 //! Transaction-path benches on a 10 k-row indexed table: a mixed
 //! read/write workload (4 point SELECTs per single-row UPDATE) with and
 //! without a write-ahead log attached, explicit-transaction batch
-//! commits, and the snapshot overhead of a read-only transaction.
+//! commits, and the snapshot overhead of a read-only transaction; plus
+//! `explicit_rw`, a short read-write transaction (BEGIN, a point read,
+//! 2 UPDATEs, an INSERT, COMMIT) at 10 k and 100 k rows, whose cost
+//! should depend on the size of the delta, not of the table.
 //!
-//! Before timing, the workload is cross-checked: the WAL and no-WAL
+//! Before timing, each workload is cross-checked: the WAL and no-WAL
 //! connections must reach identical table states, the UPDATE must locate
 //! through the index seek (not a scan), and replaying the produced log
 //! over a checkpoint copy must reproduce the live table exactly.
@@ -22,6 +25,10 @@ use std::time::Duration;
 const ROWS: i64 = 10_000;
 
 fn catalog() -> Arc<Catalog> {
+    catalog_with(ROWS)
+}
+
+fn catalog_with(rows: i64) -> Arc<Catalog> {
     let catalog = Catalog::new();
     let s = Schema::new();
     s.add_table(
@@ -31,7 +38,7 @@ fn catalog() -> Arc<Catalog> {
                 .add_not_null("id", TypeKind::Integer)
                 .add_not_null("balance", TypeKind::Integer)
                 .build(),
-            (0..ROWS)
+            (0..rows)
                 .map(|i| vec![Datum::Int(i), Datum::Int(i % 1000)])
                 .collect(),
         ),
@@ -63,6 +70,30 @@ fn mixed_step(c: &Connection, i: i64) {
         ))
         .unwrap(),
     );
+}
+
+/// One explicit read-write transaction on a `rows`-row table: BEGIN, a
+/// point read, 2 UPDATEs, an INSERT of a fresh id, COMMIT. The second
+/// UPDATE locates its row after the transaction has written, and the
+/// INSERT is staged after both updates.
+fn explicit_rw_step(c: &Connection, rows: i64, i: i64) {
+    c.query("BEGIN").unwrap();
+    black_box(
+        c.query(&format!(
+            "SELECT balance FROM accounts WHERE id = {}",
+            (i * 7) % rows
+        ))
+        .unwrap(),
+    );
+    for id in [(i * 13) % rows, (i * 17 + 1) % rows] {
+        c.query(&format!(
+            "UPDATE accounts SET balance = balance + 1 WHERE id = {id}"
+        ))
+        .unwrap();
+    }
+    c.query(&format!("INSERT INTO accounts VALUES ({}, 0)", rows + i))
+        .unwrap();
+    black_box(c.query("COMMIT").unwrap());
 }
 
 fn table_image(c: &Connection) -> Vec<Vec<Datum>> {
@@ -169,5 +200,49 @@ fn bench_txn(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_txn);
+fn bench_explicit_rw(c: &mut Criterion) {
+    let mut group = c.benchmark_group("txn/explicit_rw");
+    group
+        .sample_size(40)
+        .measurement_time(Duration::from_secs(5));
+    for rows in [ROWS, 10 * ROWS] {
+        let plain = indexed_conn(catalog_with(rows));
+        let logged_catalog = catalog_with(rows);
+        let mem = MemWal::default();
+        logged_catalog
+            .txns()
+            .attach_wal(WalWriter::new(Box::new(mem.clone())));
+        let logged = indexed_conn(logged_catalog);
+
+        // Cross-check before timing: both connections converge, and the
+        // log replays to the live state.
+        for i in 0..20 {
+            explicit_rw_step(&plain, rows, i);
+            explicit_rw_step(&logged, rows, i);
+        }
+        assert_eq!(table_image(&plain), table_image(&logged));
+        let checkpoint = catalog_with(rows);
+        let bytes = mem.handle().lock().clone();
+        let report = replay(&bytes, &checkpoint).unwrap();
+        assert_eq!(report.txns, 20, "one committed txn per workload step");
+        assert_eq!(
+            table_image(&Connection::builder(checkpoint).build()),
+            table_image(&logged),
+            "replayed state must match the live table"
+        );
+        drop(plain);
+
+        let step = Cell::new(20i64);
+        group.bench_function(format!("{}k_rows", rows / 1000), |b| {
+            b.iter(|| {
+                let i = step.get();
+                step.set(i + 1);
+                explicit_rw_step(&logged, rows, i);
+            })
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_txn, bench_explicit_rw);
 criterion_main!(benches);

@@ -6,9 +6,11 @@ use crate::datum::{Column, Row};
 use crate::error::{CalciteError, Result};
 use crate::exec::{BatchIter, RowBatcher, SlicedColumns};
 use crate::index::{
-    seek_rows, BoundProbe, IndexData, IndexDef, IndexProbe, RowsAccess, RowsRef, SnapshotProbe,
+    seek_rows, BoundProbe, IndexData, IndexDef, IndexProbe, RowSource, RowsAccess, RowsRef,
+    SnapshotProbe,
 };
 use crate::traits::{Collation, Convention};
+use crate::txn::{RowIds, RowStore};
 use crate::types::RowType;
 use parking_lot::RwLock;
 use std::collections::HashMap;
@@ -366,21 +368,108 @@ impl PartialEq for TableRef {
     }
 }
 
+/// Rows per chunk of a [`RowChunks`] store.
+const CHUNK_ROWS: usize = 1024;
+
+/// [`MemTable`]'s row store: rows in fixed-size chunks, each behind its
+/// own `Arc`. Cloning the store — what a writer does when an open
+/// snapshot shares it — copies only the chunk pointers, and the write
+/// then copies only the chunk it lands in. So an UPDATE or INSERT under
+/// an open snapshot costs O(n / 1024 + 1024), not a copy of the table.
+#[derive(Clone, Default)]
+pub(crate) struct RowChunks {
+    chunks: Vec<Arc<Vec<Row>>>,
+    len: usize,
+}
+
+impl RowChunks {
+    pub fn new(rows: Vec<Row>) -> RowChunks {
+        let len = rows.len();
+        let mut rows = rows.into_iter();
+        let chunks = (0..len.div_ceil(CHUNK_ROWS))
+            .map(|_| Arc::new(rows.by_ref().take(CHUNK_ROWS).collect()))
+            .collect();
+        RowChunks { chunks, len }
+    }
+
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    pub fn get(&self, pos: usize) -> &Row {
+        &self.chunks[pos / CHUNK_ROWS][pos % CHUNK_ROWS]
+    }
+
+    pub fn iter(&self) -> impl Iterator<Item = &Row> {
+        self.chunks.iter().flat_map(|chunk| chunk.iter())
+    }
+}
+
+impl RowSource for RowChunks {
+    fn row_count(&self) -> usize {
+        self.len
+    }
+
+    fn row_at(&self, pos: usize) -> &Row {
+        self.get(pos)
+    }
+}
+
+impl RowStore for RowChunks {
+    fn set(&mut self, pos: usize, row: &Row) {
+        let chunk = Arc::make_mut(&mut self.chunks[pos / CHUNK_ROWS]);
+        chunk[pos % CHUNK_ROWS].clone_from(row);
+    }
+
+    fn push(&mut self, row: Row) {
+        if self.len.is_multiple_of(CHUNK_ROWS) {
+            self.chunks.push(Arc::new(Vec::with_capacity(CHUNK_ROWS)));
+        }
+        let last = self.chunks.last_mut().expect("a chunk with room");
+        Arc::make_mut(last).push(row);
+        self.len += 1;
+    }
+
+    /// Chunks before the first deleted row are kept as they are (still
+    /// shared with any snapshot); the rest are rebuilt, O(n).
+    fn compact(&mut self, remap: &[Option<usize>]) {
+        let first = remap.iter().position(Option::is_none).unwrap_or(self.len);
+        let tail = self.chunks.split_off(first / CHUNK_ROWS);
+        self.len = self.chunks.len() * CHUNK_ROWS;
+        let mut pos = self.len;
+        for chunk in tail {
+            let rows = Arc::try_unwrap(chunk).unwrap_or_else(|shared| (*shared).clone());
+            for row in rows {
+                if remap[pos].is_some() {
+                    RowStore::push(self, row);
+                }
+                pos += 1;
+            }
+        }
+    }
+}
+
 /// An in-memory table: the simplest `Table` implementation, used by tests,
 /// examples and as the backing store for materialized views.
 pub struct MemTable {
     row_type: RowType,
     /// Copy-on-write row store: scans and index-probe snapshots take an
-    /// `Arc` clone (O(1)), and a later write that finds the `Arc` shared
-    /// copies before mutating, so open snapshots keep their version.
-    rows: RwLock<Arc<Vec<Row>>>,
-    /// Stable row ids, parallel to `rows` (same copy-on-write swap, same
-    /// lock order: rows, then ids, then indexes). Assigned at insert,
-    /// never reused — the addressing MVCC deltas and the WAL use.
-    row_ids: RwLock<Arc<Vec<u64>>>,
+    /// `Arc` clone (O(1)); a later write that finds the `Arc` shared
+    /// copies the chunk pointers and the chunks it writes before mutating
+    /// (see [`RowChunks`]), so open snapshots keep their version.
+    rows: RwLock<Arc<RowChunks>>,
+    /// Stable row ids, parallel to `rows`, with their id → position
+    /// lookup (same copy-on-write swap, same lock order: rows, then ids,
+    /// then indexes). Assigned at insert, never reused — the addressing
+    /// MVCC deltas and the WAL use.
+    row_ids: RwLock<Arc<RowIds>>,
     next_row_id: std::sync::atomic::AtomicU64,
     statistic: RwLock<Option<Statistic>>,
-    /// Secondary indexes, maintained incrementally on insert. Guarded by
+    /// Secondary indexes, maintained incrementally on every write. Guarded by
     /// the same lock discipline as `rows` (rows lock taken first), so an
     /// index never refers to positions that are not yet in `rows`.
     indexes: RwLock<Vec<Arc<IndexData>>>,
@@ -395,8 +484,8 @@ impl MemTable {
         let n = rows.len() as u64;
         Arc::new(MemTable {
             row_type,
-            rows: RwLock::new(Arc::new(rows)),
-            row_ids: RwLock::new(Arc::new((0..n).collect())),
+            rows: RwLock::new(Arc::new(RowChunks::new(rows))),
+            row_ids: RwLock::new(Arc::new(RowIds::sequential(0, n as usize))),
             next_row_id: std::sync::atomic::AtomicU64::new(n),
             statistic: RwLock::new(None),
             indexes: RwLock::new(vec![]),
@@ -410,24 +499,24 @@ impl MemTable {
     }
 
     pub fn rows(&self) -> Vec<Row> {
-        self.rows.read().as_ref().clone()
+        self.rows.read().iter().cloned().collect()
     }
 
     pub fn insert(&self, row: Row) {
         let mut guard = self.rows.write();
         self.version
             .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-        Arc::make_mut(&mut guard).push(row);
+        RowStore::push(Arc::make_mut(&mut guard), row);
         let id = self
             .next_row_id
             .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
         Arc::make_mut(&mut self.row_ids.write()).push(id);
         let access = RowsRef {
-            rows: guard.as_slice(),
+            rows: &**guard,
             arity: self.row_type.arity(),
         };
         for idx in self.indexes.write().iter_mut() {
-            Arc::make_mut(idx).insert(&access, access.rows.len() - 1);
+            Arc::make_mut(idx).insert(&access, guard.len() - 1);
         }
     }
 
@@ -439,10 +528,10 @@ impl MemTable {
         let start = self
             .next_row_id
             .fetch_add(n, std::sync::atomic::Ordering::SeqCst);
-        *guard = Arc::new(rows);
-        *self.row_ids.write() = Arc::new((start..start + n).collect());
+        *guard = Arc::new(RowChunks::new(rows));
+        *self.row_ids.write() = Arc::new(RowIds::sequential(start, n as usize));
         let access = RowsRef {
-            rows: guard.as_slice(),
+            rows: &**guard,
             arity: self.row_type.arity(),
         };
         for idx in self.indexes.write().iter_mut() {
@@ -454,7 +543,7 @@ impl MemTable {
 
     /// Stable ids of the current rows, parallel to [`MemTable::rows`].
     pub fn row_ids(&self) -> Vec<u64> {
-        self.row_ids.read().as_ref().clone()
+        self.row_ids.read().as_slice().to_vec()
     }
 
     pub fn len(&self) -> usize {
@@ -482,7 +571,7 @@ impl Table for MemTable {
         // O(1) snapshot: rows are cloned lazily as the iterator advances,
         // off a shared `Arc` that later writes copy away from.
         let rows = Arc::clone(&self.rows.read());
-        Ok(Box::new((0..rows.len()).map(move |i| rows[i].clone())))
+        Ok(Box::new((0..rows.len()).map(move |i| rows.get(i).clone())))
     }
 
     fn scan_columns(&self) -> Option<Result<Vec<Column>>> {
@@ -492,7 +581,7 @@ impl Table for MemTable {
             .fields
             .iter()
             .enumerate()
-            .map(|(i, f)| Column::from_rows(&f.ty.kind, &rows, i))
+            .map(|(i, f)| Column::from_datums(&f.ty.kind, rows.iter().map(|r| r[i].clone())))
             .collect()))
     }
 
@@ -543,7 +632,7 @@ impl Table for MemTable {
             )));
         }
         let access = RowsRef {
-            rows: rows.as_slice(),
+            rows: &**rows,
             arity: self.row_type.arity(),
         };
         indexes.push(Arc::new(IndexData::build(def.clone(), &access)?));
@@ -575,25 +664,30 @@ impl Table for MemTable {
         }))
     }
 
+    /// O(|ops| · log n) for UPDATE and INSERT, O(n) once a DELETE
+    /// compacts (see [`crate::txn::apply_ops_to_rows`]); a failing op
+    /// stream leaves the table untouched. Under an open snapshot the
+    /// write also copies the touched row chunks (1,024 rows each), the
+    /// row ids and each index's entries.
     fn apply_delta(&self, ops: &[crate::txn::DeltaOp]) -> Result<usize> {
         let mut rows_guard = self.rows.write();
-        self.version
-            .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
         let mut ids_guard = self.row_ids.write();
         let mut idx_guard = self.indexes.write();
         let rows = Arc::make_mut(&mut rows_guard);
         let ids = Arc::make_mut(&mut ids_guard);
         let outcome = crate::txn::apply_ops_to_rows(rows, ids, ops, self.row_type.arity())?;
+        self.version
+            .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
         if let Some(max_id) = outcome.max_inserted_id {
             self.next_row_id
                 .fetch_max(max_id + 1, std::sync::atomic::Ordering::SeqCst);
         }
         let access = RowsRef {
-            rows: rows.as_slice(),
+            rows: &*rows,
             arity: self.row_type.arity(),
         };
         for idx in idx_guard.iter_mut() {
-            Arc::make_mut(idx).apply_delta(&access, &outcome.remap, &outcome.reinserted);
+            Arc::make_mut(idx).apply_delta(&access, &outcome.moves);
         }
         Ok(outcome.applied)
     }
@@ -613,8 +707,8 @@ impl Table for MemTable {
 /// taken under one lock pass, pinned for the life of the transaction.
 struct MemTableVersion {
     arity: usize,
-    rows: Arc<Vec<Row>>,
-    ids: Arc<Vec<u64>>,
+    rows: Arc<RowChunks>,
+    ids: Arc<RowIds>,
     indexes: Vec<Arc<IndexData>>,
 }
 
@@ -624,11 +718,15 @@ impl crate::txn::TxnVersion for MemTableVersion {
     }
 
     fn row(&self, pos: usize) -> Row {
-        self.rows[pos].clone()
+        self.rows.get(pos).clone()
     }
 
     fn row_id(&self, pos: usize) -> u64 {
-        self.ids[pos]
+        self.ids.get(pos)
+    }
+
+    fn position_of(&self, row_id: u64) -> Option<usize> {
+        self.ids.position(row_id)
     }
 
     fn index_defs(&self) -> Vec<IndexDef> {
@@ -937,6 +1035,118 @@ mod tests {
         // But a fresh snapshot (and range_scan_rows) see it.
         assert_eq!(t.range_scan_rows(), Some(21));
         assert_eq!(t.scan_snapshot().unwrap().unwrap().row_count(), 21);
+    }
+
+    /// The chunked store behaves like a row vector across chunk
+    /// boundaries, and a clone (a snapshot) never sees later writes.
+    #[test]
+    fn row_chunks_copy_on_write() {
+        let n = 2 * CHUNK_ROWS + 300;
+        let mut rows = RowChunks::new((0..n as i64).map(|i| vec![Datum::Int(i)]).collect());
+        let snapshot = rows.clone();
+        rows.set(CHUNK_ROWS + 5, &vec![Datum::Int(-1)]);
+        assert_eq!(rows.get(CHUNK_ROWS + 5), &vec![Datum::Int(-1)]);
+        RowStore::push(&mut rows, vec![Datum::Int(-2)]);
+        // Only the written chunk was copied; the others are still shared.
+        assert!(Arc::ptr_eq(&rows.chunks[0], &snapshot.chunks[0]));
+        assert!(!Arc::ptr_eq(&rows.chunks[1], &snapshot.chunks[1]));
+        assert_eq!(
+            snapshot.get(CHUNK_ROWS + 5),
+            &vec![Datum::Int(CHUNK_ROWS as i64 + 5)]
+        );
+        assert_eq!(snapshot.len(), n);
+        assert_eq!(rows.len(), n + 1);
+
+        // Delete every third row from the second chunk on.
+        let remap: Vec<Option<usize>> = {
+            let mut next = 0;
+            (0..n + 1)
+                .map(|p| {
+                    (p < CHUNK_ROWS || p % 3 != 0).then(|| {
+                        next += 1;
+                        next - 1
+                    })
+                })
+                .collect()
+        };
+        let expect: Vec<Row> = rows
+            .iter()
+            .enumerate()
+            .filter(|(p, _)| remap[*p].is_some())
+            .map(|(_, r)| r.clone())
+            .collect();
+        rows.compact(&remap);
+        assert!(Arc::ptr_eq(&rows.chunks[0], &snapshot.chunks[0]));
+        assert_eq!(rows.iter().cloned().collect::<Vec<_>>(), expect);
+        assert_eq!(rows.len(), expect.len());
+        assert_eq!(rows.get(expect.len() - 1), &vec![Datum::Int(-2)]);
+        assert_eq!(snapshot.iter().count(), n);
+    }
+
+    /// A delta that fails validation part-way must leave the live table
+    /// exactly as it was — rows, row ids, index answers and data version
+    /// — on both the compacting (DELETE) and the in-place path.
+    #[test]
+    fn failing_apply_leaves_table_unchanged() {
+        use crate::index::BoundProbe;
+        use crate::txn::DeltaOp;
+        let t = MemTable::new(
+            RowTypeBuilder::new()
+                .add_not_null("k", TypeKind::Integer)
+                .build(),
+            (0..4).map(|i| vec![Datum::Int(i)]).collect(),
+        );
+        t.create_index(&IndexDef::ordered("k_o", vec![0])).unwrap();
+        t.create_index(&IndexDef::hash("k_h", vec![0])).unwrap();
+        let answers = |t: &MemTable| -> Vec<Vec<usize>> {
+            ["k_o", "k_h"]
+                .iter()
+                .flat_map(|name| {
+                    let snap = t.index_probe_snapshot(name).unwrap().unwrap();
+                    (-1..101)
+                        .map(|k| snap.positions(&BoundProbe::point(vec![Datum::Int(k)])))
+                        .collect::<Vec<_>>()
+                })
+                .collect()
+        };
+        let before = answers(&t);
+        let version = t.data_version();
+        let upd = |row_id, k| DeltaOp::Update {
+            row_id,
+            row: vec![Datum::Int(k)],
+        };
+        for ops in [
+            vec![DeltaOp::Delete { row_id: 1 }, upd(99, 100)],
+            vec![upd(2, 100), upd(99, 100)],
+            vec![
+                DeltaOp::Insert {
+                    row_id: 50,
+                    row: vec![Datum::Int(100)],
+                },
+                DeltaOp::Insert {
+                    row_id: 50,
+                    row: vec![Datum::Int(100)],
+                },
+            ],
+        ] {
+            assert!(t.apply_delta(&ops).is_err(), "{ops:?}");
+            assert_eq!(
+                t.rows(),
+                (0..4).map(|i| vec![Datum::Int(i)]).collect::<Vec<_>>()
+            );
+            assert_eq!(t.row_ids(), vec![0, 1, 2, 3]);
+            assert_eq!(answers(&t), before, "{ops:?}");
+            assert_eq!(t.data_version(), version);
+        }
+        // The same table still takes a valid delta.
+        t.apply_delta(&[upd(2, 100), DeltaOp::Delete { row_id: 0 }])
+            .unwrap();
+        assert_eq!(t.row_ids(), vec![1, 2, 3]);
+        let snap = t.index_probe_snapshot("k_h").unwrap().unwrap();
+        assert_eq!(
+            snap.positions(&BoundProbe::point(vec![Datum::Int(100)])),
+            vec![1]
+        );
     }
 
     #[test]

@@ -423,6 +423,51 @@ impl Column {
         }
     }
 
+    /// Overwrites the datum at row `i`, under the same rule as
+    /// [`Column::push`]: a value that does not fit the typed variant
+    /// demotes the whole column to `Generic` first.
+    pub fn set(&mut self, i: usize, d: Datum) {
+        match (&mut *self, d) {
+            (Column::Int { values, valid }, Datum::Int(x)) => {
+                values[i] = x;
+                valid[i] = true;
+            }
+            (Column::Int { values, valid }, Datum::Null) => {
+                values[i] = 0;
+                valid[i] = false;
+            }
+            (Column::Double { values, valid }, Datum::Double(x)) => {
+                values[i] = x;
+                valid[i] = true;
+            }
+            (Column::Double { values, valid }, Datum::Null) => {
+                values[i] = 0.0;
+                valid[i] = false;
+            }
+            (Column::Bool { values, valid }, Datum::Bool(x)) => {
+                values[i] = x;
+                valid[i] = true;
+            }
+            (Column::Bool { values, valid }, Datum::Null) => {
+                values[i] = false;
+                valid[i] = false;
+            }
+            (Column::Str { values, valid }, Datum::Str(x)) => {
+                values[i] = x;
+                valid[i] = true;
+            }
+            (Column::Str { values, valid }, Datum::Null) => {
+                values[i] = Arc::from("");
+                valid[i] = false;
+            }
+            (Column::Generic(v), d) => v[i] = d,
+            (_, d) => {
+                self.demote_to_generic();
+                self.set(i, d);
+            }
+        }
+    }
+
     pub fn push_null(&mut self) {
         self.push(Datum::Null);
     }

@@ -8,12 +8,15 @@
 //! The machinery is backend-neutral: it reads table data through
 //! [`KeyAccess`] so the same build/insert/probe code serves core's
 //! row-based `MemTable` and memdb's columnar `MemRelation`. Indexes are
-//! maintained incrementally on INSERT (motivated by the constant-delay-
-//! under-updates line of work) rather than rebuilt per write.
+//! maintained incrementally on every committed delta (motivated by the
+//! constant-delay-under-updates line of work) rather than rebuilt per
+//! write: an UPDATE re-keys only the entries whose key changed and an
+//! INSERT merges its rows in ([`IndexData::apply_delta`]).
 
 use crate::datum::{Datum, Row};
 use crate::error::{CalciteError, Result};
 use crate::rex::RexNode;
+use crate::txn::RowMoves;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -81,17 +84,45 @@ pub trait KeyAccess {
     fn datum(&self, row: usize, col: usize) -> Datum;
 }
 
-/// [`KeyAccess`] over a shared row vector (`MemTable` snapshots): an
-/// `Arc` clone of the copy-on-write store, so taking the snapshot is
-/// O(1) and later writes never disturb it.
-pub struct RowsAccess {
-    pub rows: Arc<Vec<Row>>,
+/// Positionally addressable rows: what row-based [`KeyAccess`] reads
+/// keys from. Implemented by plain row vectors and slices and by
+/// `MemTable`'s chunked store.
+pub trait RowSource: Send + Sync {
+    fn row_count(&self) -> usize;
+    fn row_at(&self, pos: usize) -> &Row;
+}
+
+impl RowSource for [Row] {
+    fn row_count(&self) -> usize {
+        self.len()
+    }
+
+    fn row_at(&self, pos: usize) -> &Row {
+        &self[pos]
+    }
+}
+
+impl RowSource for Vec<Row> {
+    fn row_count(&self) -> usize {
+        self.len()
+    }
+
+    fn row_at(&self, pos: usize) -> &Row {
+        &self[pos]
+    }
+}
+
+/// [`KeyAccess`] over shared rows (`MemTable` snapshots): an `Arc` clone
+/// of the copy-on-write store, so taking the snapshot is O(1) and later
+/// writes never disturb it.
+pub struct RowsAccess<R: RowSource + ?Sized = Vec<Row>> {
+    pub rows: Arc<R>,
     pub arity: usize,
 }
 
-impl KeyAccess for RowsAccess {
+impl<R: RowSource + ?Sized> KeyAccess for RowsAccess<R> {
     fn len(&self) -> usize {
-        self.rows.len()
+        self.rows.row_count()
     }
 
     fn arity(&self) -> usize {
@@ -99,19 +130,19 @@ impl KeyAccess for RowsAccess {
     }
 
     fn datum(&self, row: usize, col: usize) -> Datum {
-        self.rows[row][col].clone()
+        self.rows.row_at(row)[col].clone()
     }
 }
 
-/// Borrowed [`KeyAccess`] over a row slice (in-place index maintenance).
-pub struct RowsRef<'a> {
-    pub rows: &'a [Row],
+/// Borrowed [`KeyAccess`] over rows (in-place index maintenance).
+pub struct RowsRef<'a, R: RowSource + ?Sized = [Row]> {
+    pub rows: &'a R,
     pub arity: usize,
 }
 
-impl KeyAccess for RowsRef<'_> {
+impl<R: RowSource + ?Sized> KeyAccess for RowsRef<'_, R> {
     fn len(&self) -> usize {
-        self.rows.len()
+        self.rows.row_count()
     }
 
     fn arity(&self) -> usize {
@@ -119,7 +150,7 @@ impl KeyAccess for RowsRef<'_> {
     }
 
     fn datum(&self, row: usize, col: usize) -> Datum {
-        self.rows[row][col].clone()
+        self.rows.row_at(row)[col].clone()
     }
 }
 
@@ -270,19 +301,98 @@ impl IndexData {
         }
     }
 
-    /// Applies an UPDATE/DELETE delta incrementally: `remap` gives each
-    /// old position's new position (`None` = deleted) and `reinserted`
-    /// lists the new positions whose rows changed or appeared (see
-    /// [`crate::txn::DeltaOutcome`]). `data` is the *post-delta* table.
+    /// Maintains the index across a delta applied to its table. `data` is
+    /// the *post-delta* table and `moves` says how rows moved (see
+    /// [`crate::txn::apply_ops_to_rows`]). Because the index is
+    /// copy-on-write-snapshotted with its table, open probe snapshots keep
+    /// serving the pre-delta state.
     ///
+    /// - [`RowMoves::InPlace`] (UPDATE/INSERT): only entries whose key
+    ///   changed are re-keyed, found by their before-image key, and
+    ///   appended rows are merged in. O(|delta| · log n) comparisons; an
+    ///   ordered index also shifts the part of its permutation past the
+    ///   lowest slot it touches, a memmove that is empty when the new
+    ///   keys sort last (ascending ids).
+    /// - [`RowMoves::Compacted`] (DELETE): every surviving entry is
+    ///   renumbered, O(n + |delta| · log n).
+    pub fn apply_delta(&mut self, data: &dyn KeyAccess, moves: &RowMoves) {
+        match moves {
+            RowMoves::InPlace { updated, inserted } => {
+                self.apply_in_place(data, updated, inserted.clone())
+            }
+            RowMoves::Compacted { remap, reinserted } => {
+                self.apply_compacted(data, remap, reinserted)
+            }
+        }
+    }
+
+    fn apply_in_place(
+        &mut self,
+        data: &dyn KeyAccess,
+        updated: &[(usize, Row)],
+        inserted: std::ops::Range<usize>,
+    ) {
+        let cols = &self.def.columns;
+        // (position, key before the delta) of every row whose key changed.
+        let rekeyed: Vec<(usize, Vec<Datum>)> = updated
+            .iter()
+            .filter_map(|(pos, old)| {
+                let before: Vec<Datum> = cols.iter().map(|c| old[*c].clone()).collect();
+                (before != key_of(data, cols, *pos)).then_some((*pos, before))
+            })
+            .collect();
+        let incoming: Vec<usize> = rekeyed
+            .iter()
+            .map(|(pos, _)| *pos)
+            .chain(inserted)
+            .collect();
+        match &mut self.state {
+            IndexState::Ordered(perm) => {
+                // Find every stale entry before removing any: the
+                // permutation is still ordered by the *old* keys.
+                let stale: HashMap<usize, &[Datum]> = rekeyed
+                    .iter()
+                    .map(|(pos, key)| (*pos, key.as_slice()))
+                    .collect();
+                let key_before = |p: usize| match stale.get(&p) {
+                    Some(key) => key.to_vec(),
+                    None => key_of(data, cols, p),
+                };
+                let mut slots: Vec<usize> = rekeyed
+                    .iter()
+                    .map(|(pos, key)| {
+                        perm.partition_point(|&p| {
+                            key_before(p).cmp(key).then(p.cmp(pos)) == std::cmp::Ordering::Less
+                        })
+                    })
+                    .collect();
+                slots.sort_unstable();
+                remove_slots(perm, &slots);
+                Self::merge_ordered(perm, data, cols, &incoming);
+            }
+            IndexState::Hash(map) => {
+                for (pos, key) in &rekeyed {
+                    if let Some(postings) = map.get_mut(key) {
+                        if let Ok(i) = postings.binary_search(pos) {
+                            postings.remove(i);
+                        }
+                        if postings.is_empty() {
+                            map.remove(key);
+                        }
+                    }
+                }
+                for pos in incoming {
+                    self.insert(data, pos);
+                }
+            }
+        }
+    }
+
     /// Survivor entries are remapped in place — `remap` is monotonic over
     /// survivors, so both the ordered permutation's (key, position) order
     /// and the hash postings' ascending order are preserved — and changed
-    /// rows are re-keyed through [`IndexData::insert`]. Cost is
-    /// O(n + changes · log n), never a rebuild, and because the index is
-    /// copy-on-write-snapshotted with its table, open probe snapshots
-    /// keep serving the pre-delta state.
-    pub fn apply_delta(
+    /// rows are re-keyed.
+    fn apply_compacted(
         &mut self,
         data: &dyn KeyAccess,
         remap: &[Option<usize>],
@@ -440,6 +550,25 @@ impl IndexData {
             .filter(|r| probe.matches(data, *r, &self.def))
             .collect()
     }
+}
+
+/// Removes the entries at `slots` (ascending, distinct) in one pass that
+/// shifts only the part of `perm` past the first slot.
+fn remove_slots(perm: &mut Vec<usize>, slots: &[usize]) {
+    let Some(&first) = slots.first() else {
+        return;
+    };
+    let mut next = 0;
+    let mut write = first;
+    for read in first..perm.len() {
+        if slots.get(next) == Some(&read) {
+            next += 1;
+        } else {
+            perm[write] = perm[read];
+            write += 1;
+        }
+    }
+    perm.truncate(write);
 }
 
 fn key_of(data: &dyn KeyAccess, columns: &[usize], row: usize) -> Vec<Datum> {
@@ -619,14 +748,16 @@ mod tests {
             vec![Some(1), Some(5)],
             vec![Some(3), Some(6)],
         ]);
-        let remap = [Some(0), None, Some(1), Some(2), Some(3), Some(4)];
-        let reinserted = [3, 5];
+        let moves = RowMoves::Compacted {
+            remap: vec![Some(0), None, Some(1), Some(2), Some(3), Some(4)],
+            reinserted: vec![3, 5],
+        };
         for def in [
             IndexDef::ordered("i", vec![0]),
             IndexDef::hash("i", vec![0]),
         ] {
             let mut idx = IndexData::build(def.clone(), &old).unwrap();
-            idx.apply_delta(&new, &remap, &reinserted);
+            idx.apply_delta(&new, &moves);
             let fresh = IndexData::build(def, &new).unwrap();
             for key in [1i64, 2, 3, 9] {
                 let probe = BoundProbe::point(vec![Datum::Int(key)]);
@@ -634,6 +765,63 @@ mod tests {
                     idx.probe(&new, &probe),
                     fresh.probe(&new, &probe),
                     "incremental and rebuilt indexes disagree on key {key}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn in_place_delta_matches_fresh_build() {
+        let old = data(vec![
+            vec![Some(3), Some(0)],
+            vec![Some(1), Some(1)],
+            vec![Some(3), Some(2)],
+            vec![None, Some(3)],
+            vec![Some(2), Some(4)],
+        ]);
+        // Rewrites: pos 0 key 3 -> 1, pos 3 NULL -> 2, pos 4 keeps key 2
+        // (value column only); two appended rows, one with a NULL key.
+        let new = data(vec![
+            vec![Some(1), Some(0)],
+            vec![Some(1), Some(1)],
+            vec![Some(3), Some(2)],
+            vec![Some(2), Some(3)],
+            vec![Some(2), Some(40)],
+            vec![Some(0), Some(5)],
+            vec![None, Some(6)],
+        ]);
+        let moves = RowMoves::InPlace {
+            updated: [0, 3, 4]
+                .iter()
+                .map(|&p| (p, old.rows[p].clone()))
+                .collect(),
+            inserted: 5..7,
+        };
+        for def in [
+            IndexDef::ordered("i", vec![0]),
+            IndexDef::hash("i", vec![0]),
+            IndexDef::ordered("i2", vec![0, 1]),
+        ] {
+            let mut idx = IndexData::build(def.clone(), &old).unwrap();
+            idx.apply_delta(&new, &moves);
+            let fresh = IndexData::build(def.clone(), &new).unwrap();
+            if let (IndexState::Ordered(a), IndexState::Ordered(b)) = (&idx.state, &fresh.state) {
+                assert_eq!(a, b, "{}: permutation differs from a rebuild", def.name);
+            }
+            let mut probes: Vec<BoundProbe> = (0..5)
+                .map(|k| BoundProbe::point(vec![Datum::Int(k)]))
+                .collect();
+            probes.push(BoundProbe {
+                eq: vec![],
+                lower: Some((Datum::Int(1), true)),
+                upper: None,
+            });
+            for probe in &probes {
+                assert_eq!(
+                    idx.probe(&new, probe),
+                    fresh.probe(&new, probe),
+                    "{}: incremental and rebuilt indexes disagree on {probe:?}",
+                    def.name
                 );
             }
         }

@@ -670,8 +670,10 @@ fn signed_delta(mirror: &mut HashMap<u64, Row>, ops: &[DeltaOp]) -> Result<Vec<(
                 out.push((row.clone(), 1));
             }
             DeltaOp::Update { row_id, row } => {
-                let old = mirror.insert(*row_id, row.clone()).ok_or_else(missing)?;
-                out.push((old, -1));
+                // Overwrite in place: the mirror row keeps its allocation.
+                let mirrored = mirror.get_mut(row_id).ok_or_else(missing)?;
+                out.push((mirrored.clone(), -1));
+                mirrored.clone_from(row);
                 out.push((row.clone(), 1));
             }
             DeltaOp::Delete { row_id } => {

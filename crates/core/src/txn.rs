@@ -12,21 +12,27 @@
 //! reclaimed by refcount.
 //!
 //! Writes are private until COMMIT: a [`Transaction`] stages [`DeltaOp`]s
-//! in a per-table workspace; an overlay materialized lazily on the first
-//! read-after-write lets the transaction read its own writes, while
-//! write-only transactions (every autocommit DML statement) never pay
-//! the O(table) copy. COMMIT, under the manager's global
-//! commit lock, (1) appends the whole transaction to the WAL, (2) runs the
-//! first-committer-wins check — any transaction that committed after this
-//! one began and wrote an overlapping row id aborts this one with a
-//! retryable [`CalciteError::TxnConflict`] — then (3) logs `Commit`,
-//! syncs, and applies the deltas onto the *current* table state, so
-//! non-overlapping concurrent committers merge instead of clobbering.
+//! per table and lays them over the BEGIN version as a [`ReadView`] — an
+//! overlay holding only the rewritten rows, the deleted positions and the
+//! appended inserts — so the transaction reads its own writes without
+//! copying the table, and the version's indexes keep serving seeks after
+//! a write. Staging and probing cost O(|delta|) plus an O(log n) row-id
+//! lookup per written row ([`RowIds`]). COMMIT, under the manager's
+//! global commit lock, (1) appends the whole transaction to the WAL, (2)
+//! runs the first-committer-wins check — any transaction that committed
+//! after this one began and wrote an overlapping row id aborts this one
+//! with a retryable [`CalciteError::TxnConflict`] — then (3) logs
+//! `Commit`, syncs, and applies the deltas onto the *current* table
+//! state, so non-overlapping concurrent committers merge instead of
+//! clobbering. The apply ([`apply_ops_to_rows`]) is O(|delta| · log n)
+//! for UPDATE and INSERT: updates overwrite in place, inserts append, and
+//! only index entries whose key changed are re-keyed. A DELETE compacts
+//! the row store and remaps every index entry, O(n).
 
 use crate::catalog::{Statistic, Table, TableRef};
 use crate::datum::{Column, Row};
 use crate::error::{CalciteError, Result};
-use crate::index::{IndexDef, IndexProbe};
+use crate::index::{BoundProbe, IndexDef, IndexProbe, RowSource, RowsRef};
 use crate::types::RowType;
 use crate::wal::{WalRecord, WalWriter};
 use parking_lot::Mutex;
@@ -65,222 +71,339 @@ impl DeltaOp {
     }
 }
 
-/// Applies `ops` in order to a row store (`rows` + parallel `ids`),
-/// validating arity, and reports how positions moved so secondary indexes
-/// can be maintained incrementally instead of rebuilt.
+/// The stable row ids of a row store, parallel to its rows, with an
+/// O(log n) id → position lookup. Ids are handed out ascending, so while
+/// they stay in position order the lookup is a binary search over the ids
+/// themselves and costs no memory; once an id lands out of order (a
+/// transaction that reserved early commits late) an id-sorted index is
+/// kept beside them. It lives in the copy-on-write state next to the
+/// rows, so a captured [`TxnVersion`] resolves ids against its own
+/// positions.
+#[derive(Debug, Clone, Default)]
+pub struct RowIds {
+    /// Position → id.
+    ids: Vec<u64>,
+    /// (id, position) sorted by id; `None` while `ids` is ascending.
+    by_id: Option<Vec<(u64, usize)>>,
+}
+
+impl RowIds {
+    pub fn new(ids: Vec<u64>) -> RowIds {
+        let mut row_ids = RowIds { ids, by_id: None };
+        row_ids.reindex();
+        row_ids
+    }
+
+    /// `n` consecutive ids starting at `start`, at positions `0..n`.
+    pub fn sequential(start: u64, n: usize) -> RowIds {
+        RowIds::new((start..start + n as u64).collect())
+    }
+
+    pub fn as_slice(&self) -> &[u64] {
+        &self.ids
+    }
+
+    pub fn len(&self) -> usize {
+        self.ids.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.ids.is_empty()
+    }
+
+    /// The id at `pos`.
+    pub fn get(&self, pos: usize) -> u64 {
+        self.ids[pos]
+    }
+
+    /// The position holding `id`, if any. O(log n).
+    pub fn position(&self, id: u64) -> Option<usize> {
+        match &self.by_id {
+            None => self.ids.binary_search(&id).ok(),
+            Some(by_id) => {
+                let i = by_id.binary_search_by_key(&id, |e| e.0).ok()?;
+                Some(by_id[i].1)
+            }
+        }
+    }
+
+    /// Appends `id` at the next position: O(1) for an id newer than every
+    /// other, a binary-search insert into the id-sorted index otherwise
+    /// (built in O(n) the first time the ids fall out of order).
+    pub fn push(&mut self, id: u64) {
+        let pos = self.ids.len();
+        let ascending = self.ids.last().is_none_or(|&last| last < id);
+        self.ids.push(id);
+        match &mut self.by_id {
+            None if ascending => {}
+            None => self.reindex(),
+            Some(by_id) => {
+                let at = by_id.partition_point(|e| e.0 < id);
+                by_id.insert(at, (id, pos));
+            }
+        }
+    }
+
+    /// Drops the positions `remap` deletes and renumbers the survivors.
+    /// O(n): only deletes compact.
+    fn compact(&mut self, remap: &[Option<usize>]) {
+        let mut pos = 0;
+        self.ids.retain(|_| {
+            pos += 1;
+            remap[pos - 1].is_some()
+        });
+        if let Some(by_id) = &mut self.by_id {
+            by_id.retain_mut(|(_, p)| match remap[*p] {
+                Some(np) => {
+                    *p = np;
+                    true
+                }
+                None => false,
+            });
+            if is_ascending(&self.ids) {
+                self.by_id = None;
+            }
+        }
+    }
+
+    /// Builds the id-sorted index if the ids are out of order, drops it if
+    /// they are not. O(n) for nearly sorted ids.
+    fn reindex(&mut self) {
+        self.by_id = (!is_ascending(&self.ids)).then(|| {
+            let mut by_id: Vec<(u64, usize)> = self.ids.iter().copied().zip(0..).collect();
+            by_id.sort_unstable();
+            by_id
+        });
+    }
+}
+
+fn is_ascending(ids: &[u64]) -> bool {
+    ids.windows(2).all(|w| w[0] < w[1])
+}
+
+fn check_arity(what: &str, row: &Row, arity: usize) -> Result<()> {
+    if row.len() != arity {
+        return Err(CalciteError::execution(format!(
+            "{what} arity mismatch: row has {} values, table has {arity} columns",
+            row.len()
+        )));
+    }
+    Ok(())
+}
+
+/// Validates `ops` against a store of `len` slots whose live row ids
+/// `lookup` resolves, without touching the store, and returns the slot
+/// each op writes: an existing one for updates and deletes, a fresh one
+/// (`len`, `len + 1`, …) for each insert. Ops see the effect of earlier
+/// ops in the same stream (update-then-delete, insert-then-update).
+/// O(|ops|) lookups.
+fn resolve_ops(
+    ops: &[DeltaOp],
+    arity: usize,
+    len: usize,
+    lookup: impl Fn(u64) -> Option<usize>,
+) -> Result<Vec<usize>> {
+    // Row ids this stream already wrote: `Some(slot)` live, `None` deleted.
+    let mut touched: HashMap<u64, Option<usize>> = HashMap::new();
+    let mut next = len;
+    let mut slots = Vec::with_capacity(ops.len());
+    for op in ops {
+        let id = op.row_id();
+        let current = match touched.get(&id) {
+            Some(s) => *s,
+            None => lookup(id),
+        };
+        let slot = match op {
+            DeltaOp::Insert { row, .. } => {
+                check_arity("insert", row, arity)?;
+                if current.is_some() {
+                    return Err(CalciteError::internal(format!(
+                        "duplicate row id {id} in insert"
+                    )));
+                }
+                next += 1;
+                next - 1
+            }
+            DeltaOp::Update { row, .. } => {
+                check_arity("update", row, arity)?;
+                current.ok_or_else(|| {
+                    CalciteError::internal(format!("update of unknown row id {id}"))
+                })?
+            }
+            DeltaOp::Delete { .. } => current
+                .ok_or_else(|| CalciteError::internal(format!("delete of unknown row id {id}")))?,
+        };
+        let live = !matches!(op, DeltaOp::Delete { .. });
+        touched.insert(id, live.then_some(slot));
+        slots.push(slot);
+    }
+    Ok(slots)
+}
+
+/// Positional row storage [`apply_ops_to_rows`] writes through: a plain
+/// row vector, or `MemTable`'s chunked copy-on-write store.
+pub trait RowStore: RowSource {
+    /// Overwrites the row at `pos` with a copy of `row`, reusing the old
+    /// row's allocation (an update allocates and frees nothing).
+    fn set(&mut self, pos: usize, row: &Row);
+    fn push(&mut self, row: Row);
+    /// Keeps, in order, the rows `remap` does not delete (`Some`).
+    fn compact(&mut self, remap: &[Option<usize>]);
+}
+
+impl RowStore for Vec<Row> {
+    fn set(&mut self, pos: usize, row: &Row) {
+        self[pos].clone_from(row);
+    }
+
+    fn push(&mut self, row: Row) {
+        Vec::push(self, row)
+    }
+
+    fn compact(&mut self, remap: &[Option<usize>]) {
+        let mut pos = 0;
+        self.retain(|_| {
+            pos += 1;
+            remap[pos - 1].is_some()
+        });
+    }
+}
+
+/// Applies `ops` in order to a row store (`rows` + parallel `ids`) and
+/// reports how rows moved, so secondary indexes can be maintained
+/// incrementally instead of rebuilt. Every op is validated before
+/// anything is written: on error the store is unchanged.
+///
+/// A delete-free stream costs O(|ops| · log n): updates overwrite in
+/// place (their before-images are handed back for index re-keying) and
+/// inserts append. A stream with deletes compacts the store, O(n).
 pub fn apply_ops_to_rows(
-    rows: &mut Vec<Row>,
-    ids: &mut Vec<u64>,
+    rows: &mut impl RowStore,
+    ids: &mut RowIds,
     ops: &[DeltaOp],
     arity: usize,
 ) -> Result<DeltaOutcome> {
-    if !ops.iter().any(|op| matches!(op, DeltaOp::Delete { .. })) {
-        return apply_ops_without_deletes(rows, ids, ops, arity);
-    }
-    let old_len = rows.len();
-    // Tombstone slots keep positions stable while ops are applied in
-    // sequence (an op stream may update then delete the same row).
-    struct Slot {
-        id: u64,
-        row: Row,
-        origin: Option<usize>,
-        touched: bool,
-    }
-    let mut slots: Vec<Option<Slot>> = std::mem::take(rows)
-        .into_iter()
-        .zip(ids.iter().copied())
-        .enumerate()
-        .map(|(pos, (row, id))| {
-            Some(Slot {
-                id,
-                row,
-                origin: Some(pos),
-                touched: false,
-            })
+    let old_len = rows.row_count();
+    let slots = resolve_ops(ops, arity, old_len, |id| ids.position(id))?;
+    let max_inserted_id = ops
+        .iter()
+        .filter_map(|op| match op {
+            DeltaOp::Insert { row_id, .. } => Some(*row_id),
+            _ => None,
         })
-        .collect();
-    let mut by_id: HashMap<u64, usize> = slots
-        .iter()
-        .enumerate()
-        .map(|(i, s)| (s.as_ref().unwrap().id, i))
-        .collect();
-    let mut max_inserted = None;
-    for op in ops {
-        match op {
-            DeltaOp::Insert { row_id, row } => {
-                if row.len() != arity {
-                    return Err(CalciteError::execution(format!(
-                        "insert arity mismatch: row has {} values, table has {arity} columns",
-                        row.len()
-                    )));
+        .max();
+    let moves = if !ops.iter().any(|op| matches!(op, DeltaOp::Delete { .. })) {
+        let mut updated: Vec<(usize, Row)> = vec![];
+        for (op, &slot) in ops.iter().zip(&slots) {
+            match op {
+                DeltaOp::Insert { row_id, row } => {
+                    rows.push(row.clone());
+                    ids.push(*row_id);
                 }
-                if by_id.contains_key(row_id) {
-                    return Err(CalciteError::internal(format!(
-                        "duplicate row id {row_id} in insert"
-                    )));
+                DeltaOp::Update { row, .. } => {
+                    if slot < old_len {
+                        updated.push((slot, rows.row_at(slot).clone()));
+                    }
+                    rows.set(slot, row);
                 }
-                by_id.insert(*row_id, slots.len());
-                slots.push(Some(Slot {
-                    id: *row_id,
-                    row: row.clone(),
-                    origin: None,
-                    touched: true,
-                }));
-                max_inserted = Some(max_inserted.map_or(*row_id, |m: u64| m.max(*row_id)));
-            }
-            DeltaOp::Update { row_id, row } => {
-                if row.len() != arity {
-                    return Err(CalciteError::execution(format!(
-                        "update arity mismatch: row has {} values, table has {arity} columns",
-                        row.len()
-                    )));
-                }
-                let slot = by_id
-                    .get(row_id)
-                    .and_then(|i| slots[*i].as_mut())
-                    .ok_or_else(|| {
-                        CalciteError::internal(format!("update of unknown row id {row_id}"))
-                    })?;
-                slot.row = row.clone();
-                slot.touched = true;
-            }
-            DeltaOp::Delete { row_id } => {
-                let i = by_id.remove(row_id).ok_or_else(|| {
-                    CalciteError::internal(format!("delete of unknown row id {row_id}"))
-                })?;
-                slots[i] = None;
+                DeltaOp::Delete { .. } => unreachable!("delete-free stream"),
             }
         }
-    }
-    let mut remap = vec![None; old_len];
-    let mut reinserted = Vec::new();
-    for slot in slots.into_iter().flatten() {
-        let new_pos = rows.len();
-        if let Some(old_pos) = slot.origin {
-            remap[old_pos] = Some(new_pos);
+        // A row updated twice keeps its first (pre-delta) before-image.
+        updated.sort_by_key(|(pos, _)| *pos);
+        updated.dedup_by_key(|(pos, _)| *pos);
+        RowMoves::InPlace {
+            updated,
+            inserted: old_len..rows.row_count(),
         }
-        if slot.touched {
-            reinserted.push(new_pos);
+    } else {
+        // Inserts (and any later update or delete of them) collect apart
+        // and append after the surviving rows, in op order.
+        let mut appended: Vec<(u64, Option<Row>)> = vec![];
+        let mut deleted = vec![];
+        let mut touched = vec![];
+        for (op, &slot) in ops.iter().zip(&slots) {
+            let target = match op {
+                DeltaOp::Insert { row_id, row } => {
+                    appended.push((*row_id, Some(row.clone())));
+                    continue;
+                }
+                DeltaOp::Update { row, .. } => Some(row),
+                DeltaOp::Delete { .. } => None,
+            };
+            match (slot < old_len, target) {
+                (true, Some(row)) => {
+                    rows.set(slot, row);
+                    touched.push(slot);
+                }
+                (true, None) => deleted.push(slot),
+                (false, target) => appended[slot - old_len].1 = target.cloned(),
+            }
         }
-        rows.push(slot.row);
-        ids.push(slot.id);
-    }
-    ids.drain(..old_len);
+        deleted.sort_unstable();
+        let mut remap = Vec::with_capacity(old_len);
+        let mut next_deleted = deleted.iter().peekable();
+        let mut survivors = 0;
+        for pos in 0..old_len {
+            if next_deleted.next_if_eq(&&pos).is_some() {
+                remap.push(None);
+            } else {
+                remap.push(Some(survivors));
+                survivors += 1;
+            }
+        }
+        rows.compact(&remap);
+        ids.compact(&remap);
+        touched.sort_unstable();
+        touched.dedup();
+        let mut reinserted: Vec<usize> = touched.iter().filter_map(|&p| remap[p]).collect();
+        for (row_id, row) in appended {
+            if let Some(row) = row {
+                reinserted.push(rows.row_count());
+                rows.push(row);
+                ids.push(row_id);
+            }
+        }
+        RowMoves::Compacted { remap, reinserted }
+    };
     Ok(DeltaOutcome {
-        remap,
-        reinserted,
+        moves,
         applied: ops.len(),
-        max_inserted_id: max_inserted,
+        max_inserted_id,
     })
 }
 
-/// Delete-free fast path for [`apply_ops_to_rows`]: without deletes,
-/// positions are stable, so updates land in place and inserts append —
-/// no tombstone-slot rebuild of the whole store. Update targets resolve
-/// through an in-order merge over `ids` (the ops of one DML statement
-/// address ascending positions), falling back to a full id → position
-/// map for out-of-order streams; insert-bearing streams build the map up
-/// front for the duplicate-id check. O(|ops|) row moves either way.
-fn apply_ops_without_deletes(
-    rows: &mut Vec<Row>,
-    ids: &mut Vec<u64>,
-    ops: &[DeltaOp],
-    arity: usize,
-) -> Result<DeltaOutcome> {
-    let old_len = rows.len();
-    fn build_map(ids: &[u64]) -> HashMap<u64, usize> {
-        ids.iter()
-            .copied()
-            .enumerate()
-            .map(|(p, id)| (id, p))
-            .collect()
-    }
-    let mut by_id: Option<HashMap<u64, usize>> = ops
-        .iter()
-        .any(|op| matches!(op, DeltaOp::Insert { .. }))
-        .then(|| build_map(ids));
-    let mut cursor = 0usize;
-    let mut touched = Vec::with_capacity(ops.len());
-    let mut max_inserted = None;
-    for op in ops {
-        match op {
-            DeltaOp::Insert { row_id, row } => {
-                if row.len() != arity {
-                    return Err(CalciteError::execution(format!(
-                        "insert arity mismatch: row has {} values, table has {arity} columns",
-                        row.len()
-                    )));
-                }
-                let map = by_id.as_mut().expect("map built for insert-bearing stream");
-                if map.insert(*row_id, rows.len()).is_some() {
-                    return Err(CalciteError::internal(format!(
-                        "duplicate row id {row_id} in insert"
-                    )));
-                }
-                touched.push(rows.len());
-                rows.push(row.clone());
-                ids.push(*row_id);
-                max_inserted = Some(max_inserted.map_or(*row_id, |m: u64| m.max(*row_id)));
-            }
-            DeltaOp::Update { row_id, row } => {
-                if row.len() != arity {
-                    return Err(CalciteError::execution(format!(
-                        "update arity mismatch: row has {} values, table has {arity} columns",
-                        row.len()
-                    )));
-                }
-                let pos = match &mut by_id {
-                    Some(map) => map.get(row_id).copied(),
-                    None => match ids[cursor..].iter().position(|id| id == row_id) {
-                        Some(off) => {
-                            cursor += off + 1;
-                            Some(cursor - 1)
-                        }
-                        None => {
-                            // Out-of-order stream (e.g. a multi-statement
-                            // transaction revisiting a row): resolve the
-                            // rest through the map. No inserts have
-                            // happened (the map would already exist), so
-                            // `ids` still holds exactly the original rows.
-                            by_id.insert(build_map(ids)).get(row_id).copied()
-                        }
-                    },
-                };
-                let pos = pos.ok_or_else(|| {
-                    CalciteError::internal(format!("update of unknown row id {row_id}"))
-                })?;
-                rows[pos] = row.clone();
-                touched.push(pos);
-            }
-            DeltaOp::Delete { .. } => unreachable!("caller routed deletes to the slot path"),
-        }
-    }
-    // A row updated twice must re-key its index entry once.
-    touched.sort_unstable();
-    touched.dedup();
-    Ok(DeltaOutcome {
-        remap: (0..old_len).map(Some).collect(),
-        reinserted: touched,
-        applied: ops.len(),
-        max_inserted_id: max_inserted,
-    })
-}
-
-/// How [`apply_ops_to_rows`] moved things: the position remap for
-/// surviving rows plus the new positions whose keys changed, i.e. exactly
-/// what [`crate::index::IndexData::apply_delta`] needs.
+/// What [`apply_ops_to_rows`] did to a row store: how rows moved (what
+/// [`crate::index::IndexData::apply_delta`] needs), the op count, and
+/// the largest inserted row id.
 #[derive(Debug)]
 pub struct DeltaOutcome {
-    /// Old position → new position; `None` means deleted. Monotonic over
-    /// the surviving rows (relative order is preserved).
-    pub remap: Vec<Option<usize>>,
-    /// New positions holding updated or inserted rows, ascending.
-    pub reinserted: Vec<usize>,
+    pub moves: RowMoves,
     /// Ops applied.
     pub applied: usize,
     /// Largest row id assigned by an insert, if any — callers bump their
     /// id counter past it (WAL replay inserts carry explicit ids).
     pub max_inserted_id: Option<u64>,
+}
+
+/// How a delta moved a row store's positions.
+#[derive(Debug)]
+pub enum RowMoves {
+    /// No deletes: positions are stable. `updated` lists each
+    /// pre-existing position that was overwritten with its before-image,
+    /// ascending; `inserted` is the range of appended positions.
+    InPlace {
+        updated: Vec<(usize, Row)>,
+        inserted: std::ops::Range<usize>,
+    },
+    /// Rows were deleted and the store compacted. `remap` maps each old
+    /// position to its new one (`None` = deleted; monotonic over the
+    /// survivors) and `reinserted` lists the new positions holding
+    /// updated or inserted rows, ascending.
+    Compacted {
+        remap: Vec<Option<usize>>,
+        reinserted: Vec<usize>,
+    },
 }
 
 // ---------------------------------------------------------------------
@@ -294,57 +417,226 @@ pub trait TxnVersion: Send + Sync {
     fn row_count(&self) -> usize;
     fn row(&self, pos: usize) -> Row;
     fn row_id(&self, pos: usize) -> u64;
+    /// The position of `row_id` in this version, if present. Must be
+    /// cheap (a lookup, not a scan): staging resolves every written row
+    /// id through it.
+    fn position_of(&self, row_id: u64) -> Option<usize>;
     /// Indexes present in this version.
     fn index_defs(&self) -> Vec<IndexDef>;
     /// Probe handle for `index` over this version's rows, if it exists.
     fn index_probe(&self, index: &str) -> Option<Arc<dyn IndexProbe>>;
 }
 
-/// The read view a statement evaluates against: either a clean captured
-/// version (index probes available) or the transaction's own overlay
-/// after it wrote (plain rows; locates fall back to predicate scans).
+/// The writes a transaction staged against one table, kept apart from the
+/// BEGIN version they apply to. Sized by the delta, never by the table.
+#[derive(Clone, Default)]
+struct Staged {
+    /// BEGIN-version positions this transaction rewrote: `Some(row)` for
+    /// an update, `None` for a delete.
+    patched: BTreeMap<usize, Option<Row>>,
+    /// Inserted rows in op order: (row id, row), `None` once deleted again.
+    inserted: Vec<(u64, Option<Row>)>,
+    /// Row id → index into `inserted`.
+    inserted_at: HashMap<u64, usize>,
+}
+
+/// The read view a statement evaluates against: the BEGIN version with
+/// the transaction's own staged writes laid over it. Rows are addressed
+/// by *slot*: slots `0..n` are the version's positions, slot `n + i` is
+/// the `i`-th staged insert; deleted slots are skipped. Scans run in slot
+/// order — the version's rows in order, then inserts in op order — which
+/// is exactly the order the table has once the transaction commits.
+///
+/// The overlay keeps the version's indexes: a probe returns the version's
+/// matching positions minus the rewritten ones, plus every staged row the
+/// probe matches, so index seeks stay seeks after a write.
 #[derive(Clone)]
-pub enum ReadView {
-    Version(Arc<dyn TxnVersion>),
-    Rows {
-        rows: Arc<Vec<Row>>,
-        ids: Arc<Vec<u64>>,
-    },
+pub struct ReadView {
+    base: Arc<dyn TxnVersion>,
+    staged: Arc<Staged>,
 }
 
 impl ReadView {
+    fn new(base: Arc<dyn TxnVersion>) -> ReadView {
+        ReadView {
+            base,
+            staged: Arc::new(Staged::default()),
+        }
+    }
+
+    fn is_clean(&self) -> bool {
+        self.staged.patched.is_empty() && self.staged.inserted.is_empty()
+    }
+
+    /// Rows visible through the view. O(|staged|).
     pub fn row_count(&self) -> usize {
-        match self {
-            ReadView::Version(v) => v.row_count(),
-            ReadView::Rows { rows, .. } => rows.len(),
+        let deleted = self.staged.patched.values().filter(|r| r.is_none()).count();
+        let inserted = self
+            .staged
+            .inserted
+            .iter()
+            .filter(|(_, r)| r.is_some())
+            .count();
+        self.base.row_count() - deleted + inserted
+    }
+
+    /// One past the largest slot.
+    fn slot_end(&self) -> usize {
+        self.base.row_count() + self.staged.inserted.len()
+    }
+
+    /// The row at `slot`, or `None` if this transaction deleted it.
+    fn live_row(&self, slot: usize) -> Option<Row> {
+        let n = self.base.row_count();
+        if slot < n {
+            match self.staged.patched.get(&slot) {
+                Some(patched) => patched.clone(),
+                None => Some(self.base.row(slot)),
+            }
+        } else {
+            self.staged.inserted[slot - n].1.clone()
         }
     }
 
-    pub fn row(&self, pos: usize) -> Row {
-        match self {
-            ReadView::Version(v) => v.row(pos),
-            ReadView::Rows { rows, .. } => rows[pos].clone(),
+    /// The row at a live `slot` (one returned by [`ReadView::rows`] or an
+    /// index probe of this view).
+    pub fn row(&self, slot: usize) -> Row {
+        self.live_row(slot)
+            .unwrap_or_else(|| panic!("slot {slot} was deleted by this transaction"))
+    }
+
+    /// The stable row id at `slot`.
+    pub fn row_id(&self, slot: usize) -> u64 {
+        let n = self.base.row_count();
+        if slot < n {
+            self.base.row_id(slot)
+        } else {
+            self.staged.inserted[slot - n].0
         }
     }
 
-    pub fn row_id(&self, pos: usize) -> u64 {
-        match self {
-            ReadView::Version(v) => v.row_id(pos),
-            ReadView::Rows { ids, .. } => ids[pos],
+    /// The live slot holding `row_id`, if any. O(log n).
+    fn slot_of(&self, row_id: u64) -> Option<usize> {
+        if let Some(&i) = self.staged.inserted_at.get(&row_id) {
+            if self.staged.inserted[i].1.is_some() {
+                return Some(self.base.row_count() + i);
+            }
+        }
+        let pos = self.base.position_of(row_id)?;
+        match self.staged.patched.get(&pos) {
+            Some(None) => None,
+            _ => Some(pos),
         }
     }
 
+    /// Every live (slot, row), in scan order.
+    pub fn rows(&self) -> impl Iterator<Item = (usize, Row)> + Send + 'static {
+        let view = self.clone();
+        (0..self.slot_end()).filter_map(move |slot| view.live_row(slot).map(|row| (slot, row)))
+    }
+
+    /// Indexes present in the BEGIN version (the overlay serves them all).
+    pub fn index_defs(&self) -> Vec<IndexDef> {
+        self.base.index_defs()
+    }
+
+    /// Probe handle for `index` over the view: the version's own probe
+    /// while nothing is staged, the overlay probe after a write.
     pub fn index_probe(&self, index: &str) -> Option<Arc<dyn IndexProbe>> {
-        match self {
-            ReadView::Version(v) => v.index_probe(index),
-            ReadView::Rows { .. } => None,
+        let base = self.base.index_probe(index)?;
+        if self.is_clean() {
+            return Some(base);
         }
+        let def = self
+            .base
+            .index_defs()
+            .into_iter()
+            .find(|d| d.name == index)?;
+        Some(Arc::new(OverlayProbe {
+            view: self.clone(),
+            def,
+            base,
+        }))
+    }
+
+    /// Lays `ops` over the view, validated first: a bad op leaves the
+    /// view unchanged. O(|ops| · log n).
+    fn stage(&mut self, ops: &[DeltaOp], arity: usize) -> Result<()> {
+        let slots = resolve_ops(ops, arity, self.slot_end(), |id| self.slot_of(id))?;
+        let n = self.base.row_count();
+        let staged = Arc::make_mut(&mut self.staged);
+        for (op, slot) in ops.iter().zip(slots) {
+            let target = match op {
+                DeltaOp::Insert { row_id, row } => {
+                    staged.inserted_at.insert(*row_id, staged.inserted.len());
+                    staged.inserted.push((*row_id, Some(row.clone())));
+                    continue;
+                }
+                DeltaOp::Update { row, .. } => Some(row.clone()),
+                DeltaOp::Delete { .. } => None,
+            };
+            if slot < n {
+                staged.patched.insert(slot, target);
+            } else {
+                staged.inserted[slot - n].1 = target;
+            }
+        }
+        Ok(())
     }
 }
 
-/// A [`Table`] over a captured version (plus any transaction-local
-/// overlay), substituted for base-table scans while a transaction is
-/// open so every statement reads the BEGIN-time snapshot.
+/// An index probe over a [`ReadView`] with staged writes: the version's
+/// probe with rewritten positions filtered out, merged with the staged
+/// rows the probe matches. O(|result| + |staged|) per probe.
+struct OverlayProbe {
+    view: ReadView,
+    def: IndexDef,
+    base: Arc<dyn IndexProbe>,
+}
+
+impl IndexProbe for OverlayProbe {
+    fn row_count(&self) -> usize {
+        self.view.row_count()
+    }
+
+    fn positions(&self, probe: &BoundProbe) -> Vec<usize> {
+        let staged = &self.view.staged;
+        let matches = |row: &Row| {
+            let one = RowsRef {
+                rows: std::slice::from_ref(row),
+                arity: row.len(),
+            };
+            probe.matches(&one, 0, &self.def)
+        };
+        let mut out: Vec<usize> = self
+            .base
+            .positions(probe)
+            .into_iter()
+            .filter(|pos| !staged.patched.contains_key(pos))
+            .collect();
+        for (&slot, row) in &staged.patched {
+            if row.as_ref().is_some_and(matches) {
+                out.push(slot);
+            }
+        }
+        let n = self.view.base.row_count();
+        for (i, (_, row)) in staged.inserted.iter().enumerate() {
+            if row.as_ref().is_some_and(matches) {
+                out.push(n + i);
+            }
+        }
+        out.sort_unstable();
+        out
+    }
+
+    fn row(&self, pos: usize) -> Row {
+        self.view.row(pos)
+    }
+}
+
+/// A [`Table`] over a transaction's [`ReadView`], substituted for
+/// base-table scans while a transaction is open so every statement reads
+/// the BEGIN-time snapshot plus the transaction's own writes.
 pub struct SnapshotTable {
     row_type: RowType,
     view: ReadView,
@@ -353,12 +645,6 @@ pub struct SnapshotTable {
 impl SnapshotTable {
     pub fn new(row_type: RowType, view: ReadView) -> Arc<SnapshotTable> {
         Arc::new(SnapshotTable { row_type, view })
-    }
-
-    fn all_rows(&self) -> Vec<Row> {
-        (0..self.view.row_count())
-            .map(|p| self.view.row(p))
-            .collect()
     }
 }
 
@@ -372,12 +658,11 @@ impl Table for SnapshotTable {
     }
 
     fn scan(&self) -> Result<Box<dyn Iterator<Item = Row> + Send>> {
-        let view = self.view.clone();
-        Ok(Box::new((0..view.row_count()).map(move |p| view.row(p))))
+        Ok(Box::new(self.view.rows().map(|(_, row)| row)))
     }
 
     fn scan_columns(&self) -> Option<Result<Vec<Column>>> {
-        let rows = self.all_rows();
+        let rows: Vec<Row> = self.view.rows().map(|(_, row)| row).collect();
         Some(Ok(self
             .row_type
             .fields
@@ -395,10 +680,7 @@ impl Table for SnapshotTable {
     }
 
     fn indexes(&self) -> Vec<IndexDef> {
-        match &self.view {
-            ReadView::Version(v) => v.index_defs(),
-            ReadView::Rows { .. } => vec![],
-        }
+        self.view.index_defs()
     }
 
     fn index_probe_snapshot(&self, index: &str) -> Result<Option<Arc<dyn IndexProbe>>> {
@@ -410,40 +692,16 @@ impl Table for SnapshotTable {
 // Transactions
 // ---------------------------------------------------------------------
 
-/// Materialized rows + row ids of a written table after applying the
-/// transaction's staged ops to its BEGIN-time version.
-type Overlay = (Arc<Vec<Row>>, Arc<Vec<u64>>);
-
 struct TxnTable {
     tref: TableRef,
-    version: Arc<dyn TxnVersion>,
+    /// The BEGIN version with this transaction's staged writes laid over
+    /// it (read-your-writes). Staging grows the overlay by the delta; the
+    /// table is never copied.
+    view: ReadView,
     ops: Vec<DeltaOp>,
     /// Row ids this transaction updated or deleted (inserts excluded):
     /// the first-committer-wins footprint.
     write_set: HashSet<u64>,
-    /// Read-own-writes cache: the BEGIN-time version with `ops` applied.
-    /// Materialized lazily by the first read after a write (staging only
-    /// records ops), so write-only transactions — every autocommit DML
-    /// statement — never copy the table. Staging rolls an existing
-    /// overlay forward incrementally and drops it on a failed roll (the
-    /// next read rebuilds from `version` + `ops`).
-    overlay: Mutex<Option<Overlay>>,
-}
-
-impl TxnTable {
-    /// The BEGIN-time version with every staged op applied.
-    fn materialize_overlay(&self) -> Result<Overlay> {
-        let n = self.version.row_count();
-        let mut rows: Vec<Row> = (0..n).map(|p| self.version.row(p)).collect();
-        let mut ids: Vec<u64> = (0..n).map(|p| self.version.row_id(p)).collect();
-        apply_ops_to_rows(
-            &mut rows,
-            &mut ids,
-            &self.ops,
-            self.tref.table.row_type().arity(),
-        )?;
-        Ok((Arc::new(rows), Arc::new(ids)))
-    }
 }
 
 /// A transaction handle: BEGIN-time versions of every MVCC-capable table,
@@ -484,41 +742,22 @@ impl Transaction {
     }
 
     /// The view statements should read for `qualified`: the BEGIN
-    /// version, or the overlay once this transaction wrote the table.
-    /// The first read after a write materializes the overlay (version +
-    /// staged ops) and caches it for the rest of the transaction.
+    /// version with this transaction's staged writes over it. O(1).
     pub fn read_view(&self, qualified: &str) -> Option<ReadView> {
-        let t = self.tables.get(qualified)?;
-        let mut overlay = t.overlay.lock();
-        if overlay.is_none() && !t.ops.is_empty() {
-            // Staged ops were built against this very version chain, so
-            // materialization cannot fail short of an internal bug — in
-            // which case serving the (write-free) BEGIN version is the
-            // safe degradation.
-            *overlay = t.materialize_overlay().ok();
-        }
-        Some(match &*overlay {
-            Some((rows, ids)) => ReadView::Rows {
-                rows: Arc::clone(rows),
-                ids: Arc::clone(ids),
-            },
-            None => ReadView::Version(Arc::clone(&t.version)),
-        })
+        Some(self.tables.get(qualified)?.view.clone())
     }
 
     /// A [`Table`] serving [`Transaction::read_view`], for substituting
     /// into scans of `qualified` while this transaction is open.
     pub fn snapshot_table(&self, qualified: &str) -> Option<Arc<SnapshotTable>> {
         let t = self.tables.get(qualified)?;
-        let view = self.read_view(qualified)?;
-        Some(SnapshotTable::new(t.tref.table.row_type(), view))
+        Some(SnapshotTable::new(t.tref.table.row_type(), t.view.clone()))
     }
 
     /// Stages `ops` against `qualified`, recording updated/deleted row
-    /// ids in the conflict footprint. O(|ops|): the read-own-writes
-    /// overlay is only rolled forward if a read already materialized it;
-    /// otherwise it stays unmaterialized and the first later read builds
-    /// it — a write-only (autocommit) transaction never copies the table.
+    /// ids in the conflict footprint. O(|ops| · log n): the ops are
+    /// validated against the read view and laid over it; a failing op
+    /// stages nothing.
     pub fn stage(&mut self, qualified: &str, ops: Vec<DeltaOp>) -> Result<usize> {
         if ops.is_empty() {
             return Ok(0);
@@ -528,27 +767,7 @@ impl Transaction {
                 "table '{qualified}' does not support transactional writes"
             ))
         })?;
-        let arity = t.tref.table.row_type().arity();
-        for op in &ops {
-            if let DeltaOp::Insert { row, .. } | DeltaOp::Update { row, .. } = op {
-                if row.len() != arity {
-                    return Err(CalciteError::execution(format!(
-                        "write arity mismatch: row has {} values, table has {arity} columns",
-                        row.len()
-                    )));
-                }
-            }
-        }
-        let overlay = t.overlay.get_mut();
-        if let Some((rows, ids)) = overlay {
-            let rolled = apply_ops_to_rows(Arc::make_mut(rows), Arc::make_mut(ids), &ops, arity);
-            if let Err(e) = rolled {
-                // A half-applied roll is unusable; drop it so the next
-                // read rebuilds from the version + the ops that did land.
-                *overlay = None;
-                return Err(e);
-            }
-        }
+        t.view.stage(&ops, t.tref.table.row_type().arity())?;
         for op in &ops {
             if op.conflicts() {
                 t.write_set.insert(op.row_id());
@@ -565,6 +784,8 @@ impl Transaction {
     /// the transaction is finished.
     pub fn commit(mut self) -> Result<u64> {
         self.finished = true;
+        // Dropping the views here unpins the BEGIN versions before the
+        // apply, so it does not copy shared state nobody reads any more.
         let staged: Vec<(TableRef, Vec<DeltaOp>, HashSet<u64>)> = self
             .tables
             .drain()
@@ -710,10 +931,9 @@ impl TxnManager {
                     tref.qualified_name(),
                     TxnTable {
                         tref: tref.clone(),
-                        version,
+                        view: ReadView::new(version),
                         ops: vec![],
                         write_set: HashSet::new(),
-                        overlay: Mutex::new(None),
                     },
                 );
             }
@@ -885,7 +1105,7 @@ mod tests {
     #[test]
     fn apply_ops_remap_and_reinserted() {
         let mut rows: Vec<Row> = (0..4).map(|i| vec![Datum::Int(i)]).collect();
-        let mut ids: Vec<u64> = (0..4).collect();
+        let mut ids = RowIds::sequential(0, 4);
         let out = apply_ops_to_rows(
             &mut rows,
             &mut ids,
@@ -903,7 +1123,9 @@ mod tests {
             1,
         )
         .unwrap();
-        assert_eq!(ids, vec![0, 2, 3, 7]);
+        assert_eq!(ids.as_slice(), &[0, 2, 3, 7]);
+        assert_eq!(ids.position(3), Some(2));
+        assert_eq!(ids.position(1), None);
         assert_eq!(
             rows,
             vec![
@@ -913,15 +1135,90 @@ mod tests {
                 vec![Datum::Int(70)],
             ]
         );
-        assert_eq!(out.remap, vec![Some(0), None, Some(1), Some(2)]);
-        assert_eq!(out.reinserted, vec![1, 3]);
+        let RowMoves::Compacted { remap, reinserted } = out.moves else {
+            panic!("a delete compacts");
+        };
+        assert_eq!(remap, vec![Some(0), None, Some(1), Some(2)]);
+        assert_eq!(reinserted, vec![1, 3]);
         assert_eq!(out.max_inserted_id, Some(7));
+    }
+
+    #[test]
+    fn apply_ops_in_place_reports_before_images() {
+        let mut rows: Vec<Row> = (0..3).map(|i| vec![Datum::Int(i)]).collect();
+        let mut ids = RowIds::sequential(0, 3);
+        let upd = |row_id, v| DeltaOp::Update {
+            row_id,
+            row: vec![Datum::Int(v)],
+        };
+        let out = apply_ops_to_rows(
+            &mut rows,
+            &mut ids,
+            &[
+                upd(2, 20),
+                DeltaOp::Insert {
+                    row_id: 9,
+                    row: vec![Datum::Int(90)],
+                },
+                upd(2, 21),
+                upd(9, 91),
+            ],
+            1,
+        )
+        .unwrap();
+        assert_eq!(ids.as_slice(), &[0, 1, 2, 9]);
+        assert_eq!(rows[2], vec![Datum::Int(21)]);
+        assert_eq!(rows[3], vec![Datum::Int(91)]);
+        let RowMoves::InPlace { updated, inserted } = out.moves else {
+            panic!("no delete, no compaction");
+        };
+        // One entry per rewritten pre-existing row, with its pre-delta image.
+        assert_eq!(updated, vec![(2, vec![Datum::Int(2)])]);
+        assert_eq!(inserted, 3..4);
+    }
+
+    /// A stream that fails part-way must leave the store exactly as it
+    /// was: both the compacting and the in-place path validate first.
+    #[test]
+    fn failing_apply_leaves_store_unchanged() {
+        let rows0: Vec<Row> = (0..4).map(|i| vec![Datum::Int(i)]).collect();
+        let bad_streams = [
+            vec![
+                DeltaOp::Delete { row_id: 1 },
+                DeltaOp::Update {
+                    row_id: 99,
+                    row: vec![Datum::Int(0)],
+                },
+            ],
+            vec![
+                DeltaOp::Update {
+                    row_id: 0,
+                    row: vec![Datum::Int(-1)],
+                },
+                DeltaOp::Insert {
+                    row_id: 3,
+                    row: vec![Datum::Int(3)],
+                },
+            ],
+            vec![DeltaOp::Delete { row_id: 2 }, DeltaOp::Delete { row_id: 2 }],
+            vec![DeltaOp::Update {
+                row_id: 1,
+                row: vec![],
+            }],
+        ];
+        for ops in bad_streams {
+            let mut rows = rows0.clone();
+            let mut ids = RowIds::sequential(0, 4);
+            assert!(apply_ops_to_rows(&mut rows, &mut ids, &ops, 1).is_err());
+            assert_eq!(rows, rows0, "{ops:?}");
+            assert_eq!(ids.as_slice(), &[0, 1, 2, 3], "{ops:?}");
+        }
     }
 
     #[test]
     fn apply_ops_update_then_delete_same_row() {
         let mut rows: Vec<Row> = vec![vec![Datum::Int(1)]];
-        let mut ids: Vec<u64> = vec![0];
+        let mut ids = RowIds::sequential(0, 1);
         apply_ops_to_rows(
             &mut rows,
             &mut ids,
@@ -937,6 +1234,28 @@ mod tests {
         .unwrap();
         assert!(rows.is_empty());
         assert!(ids.is_empty());
+    }
+
+    #[test]
+    fn row_ids_resolve_out_of_order_pushes() {
+        let mut ids = RowIds::sequential(10, 3);
+        ids.push(20);
+        assert!(ids.by_id.is_none(), "ascending ids need no index");
+        ids.push(15); // reserved before 20, committed after it
+        ids.push(30);
+        ids.push(17);
+        let expect = [10, 11, 12, 20, 15, 30, 17];
+        assert_eq!(ids.as_slice(), &expect);
+        for (pos, id) in expect.iter().enumerate() {
+            assert_eq!(ids.position(*id), Some(pos), "id {id}");
+        }
+        assert_eq!(ids.position(13), None);
+        // Deleting the stragglers restores the order and drops the index.
+        ids.compact(&[Some(0), Some(1), Some(2), Some(3), None, Some(4), None]);
+        assert_eq!(ids.as_slice(), &[10, 11, 12, 20, 30]);
+        assert!(ids.by_id.is_none());
+        assert_eq!(ids.position(30), Some(4));
+        assert_eq!(ids.position(15), None);
     }
 
     #[test]
@@ -969,6 +1288,61 @@ mod tests {
         // Rollback left the live table with only the direct write.
         assert_eq!(t.rows()[0][1], Datum::Int(-1));
         assert_eq!(t.rows()[3][1], Datum::Int(30));
+    }
+
+    /// The overlay keeps the version's index: probes see staged updates
+    /// (old key gone, new key found), staged inserts and deletes, in slot
+    /// order, and a stage that fails validation changes nothing.
+    #[test]
+    fn overlay_probes_merge_staged_rows() {
+        use crate::index::BoundProbe;
+        let t = table();
+        t.create_index(&IndexDef::ordered("by_v", vec![1])).unwrap();
+        let mgr = Arc::new(TxnManager::new());
+        let mut txn = mgr.begin(&[tref(&t)]);
+        let id = t.reserve_row_ids(1).unwrap();
+        txn.stage(
+            "s.t",
+            vec![
+                DeltaOp::Update {
+                    row_id: 1,
+                    row: vec![Datum::Int(1), Datum::Int(30)],
+                },
+                DeltaOp::Insert {
+                    row_id: id,
+                    row: vec![Datum::Int(9), Datum::Int(30)],
+                },
+                DeltaOp::Delete { row_id: 3 },
+            ],
+        )
+        .unwrap();
+        let positions = |txn: &Transaction, v: i64| {
+            let view = txn.read_view("s.t").unwrap();
+            let probe = view.index_probe("by_v").unwrap();
+            probe
+                .positions(&BoundProbe::point(vec![Datum::Int(v)]))
+                .into_iter()
+                .map(|slot| view.row(slot)[0].clone())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(positions(&txn, 10), vec![]);
+        // Key 30: the base row 3 is deleted, row 1 moved here, the
+        // insert appended after the base rows.
+        assert_eq!(positions(&txn, 30), vec![Datum::Int(1), Datum::Int(9)]);
+        let view = txn.read_view("s.t").unwrap();
+        let scan: Vec<i64> = view.rows().map(|(_, r)| r[0].as_int().unwrap()).collect();
+        assert_eq!(scan, vec![0, 1, 2, 9]);
+        assert_eq!(view.row_count(), 4);
+
+        // Deleting row 1 twice fails as a whole: nothing is staged.
+        let err = txn.stage(
+            "s.t",
+            vec![DeltaOp::Delete { row_id: 1 }, DeltaOp::Delete { row_id: 1 }],
+        );
+        assert!(err.is_err());
+        assert_eq!(positions(&txn, 30), vec![Datum::Int(1), Datum::Int(9)]);
+        assert_eq!(txn.read_view("s.t").unwrap().row_count(), 4);
+        txn.rollback();
     }
 
     #[test]

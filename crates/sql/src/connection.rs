@@ -1342,8 +1342,9 @@ impl Connection {
         let view = txn.read_view(&qualified).ok_or_else(not_capable)?;
         let ops = build_ops(&view)?;
         // Release the read view before COMMIT: it pins the BEGIN-time
-        // version, and apply-time `Arc::make_mut` would deep-copy the
-        // whole table to preserve a snapshot nobody reads again.
+        // version, and the apply would copy the table's shared state
+        // (row chunks, ids, index entries) to preserve a snapshot nobody
+        // reads again.
         drop(view);
         let n = txn.stage(&qualified, ops)?;
         txn.commit()?;
@@ -1633,10 +1634,10 @@ fn eval_all(conditions: &[RexNode], row: &Row) -> Result<bool> {
 }
 
 /// Evaluates the locate subplan against a transaction read view,
-/// returning matching positions in ascending order. An IndexSeek-shaped
-/// plan probes the snapshot's index when the view still carries one (a
-/// clean BEGIN-time version); a dirty overlay or any other plan shape
-/// scans the view evaluating the full logical predicate.
+/// returning matching slots in ascending order. An IndexSeek-shaped plan
+/// probes the view's index — the BEGIN version's, with the transaction's
+/// own staged rows merged in — when the version has that index; any
+/// other plan shape scans the view evaluating the full logical predicate.
 fn locate_rows(physical: &Rel, logical: &Rel, view: &ReadView) -> Result<Vec<usize>> {
     if let Some((Some((index, seek)), residuals)) = analyze_locate(physical) {
         if let Some(probe) = view.index_probe(&index.name) {
@@ -1657,9 +1658,9 @@ fn locate_rows(physical: &Rel, logical: &Rel, view: &ReadView) -> Result<Vec<usi
     let mut conditions = vec![];
     collect_conditions(logical, &mut conditions);
     let mut out = vec![];
-    for pos in 0..view.row_count() {
-        if eval_all(&conditions, &view.row(pos))? {
-            out.push(pos);
+    for (slot, row) in view.rows() {
+        if eval_all(&conditions, &row)? {
+            out.push(slot);
         }
     }
     Ok(out)

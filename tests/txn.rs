@@ -540,3 +540,215 @@ fn dml_differential_across_workers_and_budget() {
         }
     }
 }
+
+/// Every read an in-transaction differential compares: the whole table in
+/// scan order (no ORDER BY, so the overlay's row order is checked too),
+/// point and range reads on each indexed column, and an aggregate.
+fn probe_reads(c: &Connection, keys: &[i64]) -> Vec<Vec<Vec<Datum>>> {
+    let mut sqls = vec![
+        "SELECT id, owner, balance FROM accounts".to_string(),
+        "SELECT COUNT(*) AS c, SUM(balance) AS s FROM accounts".to_string(),
+        "SELECT id FROM accounts WHERE id BETWEEN 10 AND 30".to_string(),
+        "SELECT id FROM accounts WHERE id > 5000".to_string(),
+        "SELECT id, balance FROM accounts WHERE balance < 500".to_string(),
+        "SELECT id FROM accounts WHERE owner = 'ins'".to_string(),
+    ];
+    for k in keys {
+        sqls.push(format!("SELECT * FROM accounts WHERE id = {k}"));
+        sqls.push(format!(
+            "SELECT id FROM accounts WHERE balance = {}",
+            100 * k
+        ));
+    }
+    sqls.iter().map(|s| c.query(s).unwrap().rows).collect()
+}
+
+/// A seeded script of UPDATE/INSERT/DELETE for the in-transaction
+/// differential. The fixed prefix covers the shapes the overlay must get
+/// right; the seeded tail mixes them at random over live, deleted and
+/// freshly inserted keys.
+fn txn_differential_script(seed: u64, n: i64) -> Vec<String> {
+    let mut script: Vec<String> = [
+        // Update a row, then delete it.
+        "UPDATE accounts SET balance = balance + 1 WHERE id = 3",
+        "DELETE FROM accounts WHERE id = 3",
+        // Insert a row, then update it (twice, once on the indexed key).
+        "INSERT INTO accounts VALUES (9001, 'ins', 42)",
+        "UPDATE accounts SET balance = 4300 WHERE id = 9001",
+        "UPDATE accounts SET id = 9002 WHERE id = 9001",
+        // Delete a key, then insert it again as a new row.
+        "DELETE FROM accounts WHERE id = 7",
+        "INSERT INTO accounts VALUES (7, 'ins', 700)",
+        // Updates that move rows in both indexes.
+        "UPDATE accounts SET id = id + 5000 WHERE id BETWEEN 20 AND 23",
+        "UPDATE accounts SET balance = 100 WHERE id = 12",
+        // A multi-row statement over staged and base rows alike.
+        "UPDATE accounts SET balance = balance * 2 WHERE id > 5000",
+    ]
+    .iter()
+    .map(|s| s.to_string())
+    .collect();
+    let mut state = seed;
+    let mut next = |m: i64| {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        ((state >> 33) as i64) % m
+    };
+    let mut fresh = 20_000;
+    for _ in 0..40 {
+        let k = next(n + 10);
+        script.push(match next(6) {
+            0 => format!(
+                "UPDATE accounts SET balance = balance + {} WHERE id = {k}",
+                next(50)
+            ),
+            1 => format!("UPDATE accounts SET id = id + 5000 WHERE id = {k}"),
+            2 => format!("DELETE FROM accounts WHERE id = {k}"),
+            3 => {
+                fresh += 1;
+                format!(
+                    "INSERT INTO accounts VALUES ({fresh}, 'ins', {})",
+                    100 * next(n)
+                )
+            }
+            4 => format!("INSERT INTO accounts VALUES ({k}, 'ins', {})", 100 * k),
+            _ => format!(
+                "UPDATE accounts SET balance = {} WHERE id BETWEEN {k} AND {}",
+                100 * next(n),
+                k + 2
+            ),
+        });
+    }
+    script
+}
+
+/// The committed indexes of `catalog`'s accounts table answer every probe
+/// exactly like indexes freshly built over its committed rows.
+fn assert_indexes_match_rebuild(catalog: &Catalog, n: i64, what: &str) {
+    use rcalcite_core::index::{BoundProbe, IndexData, KeyAccess, RowsAccess};
+    let table = catalog.resolve(&["bank", "accounts"]).unwrap().table;
+    let rows = RowsAccess {
+        rows: Arc::new(table.as_mem_table().unwrap().rows()),
+        arity: 3,
+    };
+    let mut probes: Vec<BoundProbe> = (0..n + 10)
+        .chain(5000..5000 + n + 10)
+        .chain(20_000..20_050)
+        .map(|k| BoundProbe::point(vec![Datum::Int(k)]))
+        .collect();
+    probes.extend((0..n).map(|k| BoundProbe::point(vec![Datum::Int(100 * k)])));
+    probes.push(BoundProbe {
+        eq: vec![],
+        lower: Some((Datum::Int(10), true)),
+        upper: Some((Datum::Int(5030), false)),
+    });
+    let defs = table.indexes();
+    assert_eq!(defs.len(), 2, "{what}");
+    for def in defs {
+        let live = table.index_probe_snapshot(&def.name).unwrap().unwrap();
+        assert_eq!(live.row_count(), rows.len());
+        let fresh = IndexData::build(def.clone(), &rows).unwrap();
+        for p in &probes {
+            assert_eq!(
+                live.positions(p),
+                fresh.probe(&rows, p),
+                "{what}: index {} diverges from a rebuild on {p:?}",
+                def.name
+            );
+        }
+    }
+}
+
+/// Read-your-writes over the BEGIN snapshot: after every statement of a
+/// seeded UPDATE/INSERT/DELETE script run inside BEGIN on an indexed
+/// connection, every read (scan order included, index seeks included)
+/// equals the same statements run on an index-free connection. An
+/// indexed connection autocommitting each statement rides along, so the
+/// per-statement commit apply (in place for UPDATE/INSERT, compacting
+/// for DELETE) is checked the same way. After COMMIT the tables match,
+/// and every maintained index answers exactly like a fresh build.
+#[test]
+fn in_transaction_reads_match_index_free_autocommit() {
+    const N: i64 = 60;
+    let keys: Vec<i64> = vec![3, 7, 12, 20, 21, 9001, 9002, 5020, 5021, 25, N + 3];
+    let indexed = || {
+        let catalog = seeded_catalog(N);
+        let c = conn(catalog.clone());
+        c.query("CREATE INDEX acc_id ON accounts (id)").unwrap();
+        c.query("CREATE INDEX acc_bal ON accounts (balance) USING HASH")
+            .unwrap();
+        c.query("ANALYZE").unwrap();
+        (catalog, c)
+    };
+    for seed in [1u64, 2, 3] {
+        let (txn_catalog, in_txn) = indexed();
+        let (auto_catalog, auto) = indexed();
+        let plain = conn(seeded_catalog(N));
+
+        in_txn.query("BEGIN").unwrap();
+        for stmt in txn_differential_script(seed, N) {
+            let expected = plain.query(&stmt).unwrap().rows;
+            for c in [&in_txn, &auto] {
+                assert_eq!(
+                    c.query(&stmt).unwrap().rows,
+                    expected,
+                    "seed {seed}: `{stmt}`"
+                );
+            }
+            let reference = probe_reads(&plain, &keys);
+            assert_eq!(
+                probe_reads(&in_txn, &keys),
+                reference,
+                "seed {seed}: reads diverge inside the transaction after `{stmt}`"
+            );
+            assert_eq!(
+                probe_reads(&auto, &keys),
+                reference,
+                "seed {seed}: autocommitted reads diverge after `{stmt}`"
+            );
+        }
+        in_txn.query("COMMIT").unwrap();
+        assert_eq!(
+            probe_reads(&in_txn, &keys),
+            probe_reads(&plain, &keys),
+            "seed {seed}: reads diverge after COMMIT"
+        );
+        assert_indexes_match_rebuild(&txn_catalog, N, "one commit of the whole script");
+        assert_indexes_match_rebuild(&auto_catalog, N, "one commit per statement");
+    }
+}
+
+/// A staged write keeps the transaction on its index paths: the point
+/// SELECT still plans (and runs) as an IndexSeek over the overlay, and
+/// UPDATE still locates through the seek.
+#[test]
+fn index_access_survives_a_staged_write() {
+    let c = conn(seeded_catalog(200));
+    c.query("CREATE INDEX acc_id ON accounts (id)").unwrap();
+    c.query("ANALYZE").unwrap();
+    c.query("BEGIN").unwrap();
+    c.query("UPDATE accounts SET balance = -1 WHERE id = 5")
+        .unwrap();
+    let plan = c
+        .explain("SELECT balance FROM accounts WHERE id = 5")
+        .unwrap();
+    assert!(plan.contains("IndexSeek"), "{plan}");
+    assert_eq!(balance(&c, 5), Datum::Int(-1));
+    let r = c
+        .query("EXPLAIN UPDATE accounts SET balance = 0 WHERE id = 5")
+        .unwrap();
+    let text = r
+        .rows
+        .iter()
+        .map(|row| row[0].to_string())
+        .collect::<Vec<_>>()
+        .join("\n");
+    assert!(text.contains("IndexSeek"), "{text}");
+    // The seek-located second write lands on the staged row.
+    c.query("UPDATE accounts SET balance = balance - 1 WHERE id = 5")
+        .unwrap();
+    assert_eq!(balance(&c, 5), Datum::Int(-2));
+    c.query("COMMIT").unwrap();
+    assert_eq!(balance(&c, 5), Datum::Int(-2));
+}
